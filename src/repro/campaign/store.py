@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.ioutil import atomic_write_json
+from repro.ioutil import atomic_write_json, open_jsonl_append
 from repro.campaign.spec import CampaignError, CampaignSpec
 
 __all__ = [
@@ -329,15 +329,9 @@ class CampaignJournal:
             self.scenarios = state["scenarios"]
             self.report_done = state["report_done"]
             self.next_seq = state["max_seq"] + 1
-            # a SIGKILL mid-write leaves a torn final line with no
-            # newline; appending straight after it would glue the next
-            # entry onto the garbage and lose a real checkpoint
-            try:
-                raw = self.path.read_text(encoding="utf-8")
-                self._torn_tail = bool(raw) and not raw.endswith("\n")
-            except OSError:
-                pass
-            self._fh = self.path.open("a", encoding="utf-8")
+            # a SIGKILL mid-write can leave a torn final line; the
+            # helper terminates it before the next entry is appended
+            self._fh = open_jsonl_append(self.path)
             self.resumed = True
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -104,7 +104,7 @@ from typing import (
     Tuple,
 )
 
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import atomic_write_bytes, open_jsonl_append
 
 from repro.harness import faults as faults_mod
 from repro.harness.pool import ResilientPool, TaskOutcome
@@ -629,7 +629,7 @@ class SweepManifest:
         self.resumed = False
         if resume and self.path.exists():
             self._load_existing()
-            self._fh = self.path.open("a", encoding="utf-8")
+            self._fh = open_jsonl_append(self.path)
             self.resumed = True
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)

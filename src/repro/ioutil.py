@@ -15,6 +15,9 @@ these helpers instead of a bare ``Path.write_text``.  The contract:
 ``fsync=False`` keeps the atomicity (rename) but skips the durability
 barrier; it is for high-rate writers like the sweep memo cache where a
 lost-on-power-cut entry is merely a cache miss.
+
+Append-only JSONL journals re-opened after a hard kill go through
+:func:`open_jsonl_append`, which ends a torn final line first.
 """
 
 from __future__ import annotations
@@ -22,9 +25,14 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Union
+from typing import IO, Any, Union
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "atomic_write_json"]
+__all__ = [
+    "atomic_write_bytes",
+    "atomic_write_text",
+    "atomic_write_json",
+    "open_jsonl_append",
+]
 
 PathLike = Union[str, Path]
 
@@ -93,3 +101,25 @@ def atomic_write_json(
     """Atomically publish ``payload`` as canonical JSON (newline-terminated)."""
     text = json.dumps(payload, indent=indent, sort_keys=sort_keys) + "\n"
     return atomic_write_text(path, text, fsync=fsync)
+
+
+def open_jsonl_append(path: PathLike) -> IO[str]:
+    """Open a JSONL journal for appending, ending a torn final line first.
+
+    A kill mid-write leaves a last line without its newline.  Appending
+    straight after it would glue the next entry onto the garbage, and a
+    reader skipping unparsable lines would lose that entry too.
+    """
+    path = Path(path)
+    torn = False
+    try:
+        with path.open("rb") as raw:
+            if raw.seek(0, os.SEEK_END):
+                raw.seek(-1, os.SEEK_END)
+                torn = raw.read(1) != b"\n"
+    except FileNotFoundError:
+        pass
+    fh = path.open("a", encoding="utf-8")
+    if torn:
+        fh.write("\n")
+    return fh

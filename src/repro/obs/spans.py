@@ -39,6 +39,8 @@ import os
 from time import perf_counter
 from typing import Any, Dict, IO, Iterable, List, Optional
 
+from repro.ioutil import open_jsonl_append
+
 __all__ = [
     "SpanWriter",
     "format_span_summary",
@@ -69,8 +71,8 @@ class SpanWriter:
                 os.makedirs(parent, exist_ok=True)
             # append=True continues an earlier invocation's journal
             # (campaign resume) instead of truncating it
-            self._fh = open(self.path, "a" if append else "w",
-                            encoding="utf-8")
+            self._fh = (open_jsonl_append(self.path) if append
+                        else open(self.path, "w", encoding="utf-8"))
         if header is not None:
             self.emit({"event": "sweep", **header})
 

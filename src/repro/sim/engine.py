@@ -56,6 +56,17 @@ is always on):
   cancelled — so a recycled object can never alias a live tombstone.
   Future PRs must keep both halves of that bargain: never hand out a
   pooled event, and never recycle before the pop-and-fire completes.
+* **Two pooled events per packet-hop, scheduled by the link itself.**
+  :meth:`repro.sim.link.Link.send` (idle link) and
+  ``Link._finish_transmission`` dequeue the next packet and call
+  ``schedule_pooled`` inline, with no helper frame in between; the
+  finish event then schedules the delivery event.  The goldens pin
+  both events per hop, the ``seq`` each consumes, and therefore
+  ``events_processed``.  A lazier pattern (schedule delivery at
+  transmission start, and a finish event only when a packet waits
+  behind) cuts events by ~40% but moves same-time tie-breaks and
+  changed delivered bytes or drops on 7 of the 13 golden probes; it is
+  not a free optimisation.
 * **Seq parity.** ``schedule_pooled`` and :meth:`Timer.restart` consume
   exactly one ``seq`` per call, like ``schedule`` — the ``(time, seq)``
   ordering contract (and therefore every golden digest) is unchanged by

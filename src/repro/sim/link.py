@@ -8,6 +8,20 @@ delivered to the downstream node after the propagation delay.
 
 Duplex connectivity is two independent ``Link`` objects (see
 :class:`repro.sim.topology.Network`).
+
+Hot-path invariants (every packet runs ``send`` -> finish -> deliver
+once per hop):
+
+* **No helper frame between queue and engine.** ``send`` on an idle
+  link and ``_finish_transmission`` each dequeue the head packet and
+  ``schedule_pooled`` its finish event inline.  Every finish calls
+  ``dequeue`` once, even on an empty queue, and every scheduled event
+  consumes one ``seq``: the goldens pin the resulting event order and
+  ``events_processed``.
+* **``_finish_transmission`` keeps its name and signature.**
+  :class:`repro.sim.trace.PacketTracer` replaces it (and ``send`` and
+  ``_deliver``) on the instance, so every finish event is scheduled
+  through ``self._finish_transmission`` and the tracer sees each one.
 """
 
 from __future__ import annotations
@@ -122,56 +136,69 @@ class Link:
         once (marking and enqueueing happen at the same instant) and no
         packet copies are made — the same object rides the link end to
         end.  A queue drop is a terminal sink: pool-managed packets are
-        recycled (after any ``on_drop`` observer ran).
+        recycled (after any ``on_drop`` observer ran).  On an idle link
+        the head of the queue starts serializing right here (dequeue and
+        schedule inline, no helper frame).
         """
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         if self.marker is not None:
             self.marker.mark(packet, now)
-        if not self.queue.enqueue(packet, now):
+        queue = self.queue
+        if not queue.enqueue(packet, now):
             if self.on_drop is not None:
                 self.on_drop(packet)
             if self._pool is not None:
                 self._pool.release(packet)
             return False
         if not self._busy:
-            self._start_transmission()
+            head = queue.dequeue(now)
+            if head is not None:
+                self._busy = True
+                # packet.size * 8 == packet.bits, without the property
+                # call; the handle is never needed, so the Event object
+                # is recycled
+                sim.schedule_pooled(
+                    head.size * 8 / self.rate_bps, self._finish_transmission, head
+                )
         return True
 
-    def _start_transmission(self) -> None:
-        sim = self.sim
-        packet = self.queue.dequeue(sim.now)
-        if packet is None:
-            self._busy = False
-            return
-        self._busy = True
-        # packet.size * 8 == packet.bits, without the property call;
-        # the handle is never needed, so the Event object is recycled
-        sim.schedule_pooled(
-            packet.size * 8 / self.rate_bps, self._finish_transmission, packet
-        )
-
     def _finish_transmission(self, packet: Packet) -> None:
+        """Serialization of ``packet`` ended: send it on, start the next.
+
+        The name and signature are part of the link's contract:
+        :class:`repro.sim.trace.PacketTracer` replaces this method on
+        the instance, and every transmission is scheduled through the
+        instance attribute so the replacement sees each one.
+        """
+        sim = self.sim
         stats = self.stats
         stats.tx_packets += 1
         stats.tx_bytes += packet.size
         extra = 0.0
         lost = False
         if self.channel is not None:
-            outcome = self.channel.transit(packet, self.sim.now)
+            outcome = self.channel.transit(packet, sim.now)
             if outcome is None:
                 lost = True
                 stats.channel_losses += 1
             else:
                 extra = outcome
         if not lost:
-            self.sim.schedule_pooled(self.delay + extra, self._deliver, packet)
+            sim.schedule_pooled(self.delay + extra, self._deliver, packet)
         elif self._pool is not None:
             # channel loss is terminal; the tracer's loss record (which
             # runs after this returns) only reads fields, and nothing
             # can re-acquire the object before then
             self._pool.release(packet)
         # pipeline the next packet regardless of the fate of this one
-        self._start_transmission()
+        head = self.queue.dequeue(sim.now)
+        if head is None:
+            self._busy = False
+            return
+        sim.schedule_pooled(
+            head.size * 8 / self.rate_bps, self._finish_transmission, head
+        )
 
     def _deliver(self, packet: Packet) -> None:
         self.stats.delivered_packets += 1

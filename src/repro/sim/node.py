@@ -62,12 +62,23 @@ class Node:
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Inject a locally generated packet into the network."""
+        dst = packet.dst
+        link = self.links.get(self.next_hop.get(dst, dst))
+        if link is not None:
+            return link.send(packet)
         return self._forward(packet)
 
     def receive(self, packet: Packet) -> None:
-        """Entry point for packets arriving from a link."""
+        """Entry point for packets arriving from a link.
+
+        Hot path: one call per packet per hop.  As in :meth:`send`, a
+        routed packet goes straight to its next link; only a packet
+        without a usable route takes the :meth:`_forward` frame, which
+        owns the errors and the ``on_unroutable`` hook.
+        """
         packet.hops += 1
-        if packet.dst == self.name:
+        dst = packet.dst
+        if dst == self.name:
             self.rx_packets += 1
             agent = self._agents.get(packet.flow_id)
             if agent is None:
@@ -77,7 +88,12 @@ class Node:
             agent.receive(packet)
             return
         self.forwarded_packets += 1
-        self._forward(packet)
+        # a directly connected destination is its own next hop
+        link = self.links.get(self.next_hop.get(dst, dst))
+        if link is not None:
+            link.send(packet)
+        else:
+            self._forward(packet)
 
     def _forward(self, packet: Packet) -> bool:
         hop = self.next_hop.get(packet.dst)

@@ -19,15 +19,25 @@ from typing import Deque, Dict, Optional
 
 from repro.sim.packet import Color, Packet
 
+#: ``Color.GREEN`` bound once: reading an ``Enum`` member off its class
+#: is a descriptor call, and RIO tests the colour twice per packet.
+_GREEN = Color.GREEN
+
 
 class QueueStats:
     """Counters shared by all queue disciplines.
 
-    Per-color counters are flat lists indexed by ``Color.value`` (the
-    record methods run once per packet per hop, where the seed's
-    enum-keyed dict paid a hash per packet); the historical
+    Per-color counters are flat lists indexed by the colour's value
+    (the accept bookkeeping runs once per packet per hop, where the
+    seed's enum-keyed dict paid a hash per packet); the historical
     ``drops_by_color`` / ``accepts_by_color`` dict views are preserved
     as read-only properties for reports and tests.
+
+    The packet path indexes with ``color._value_``, the member's plain
+    instance attribute, instead of ``color.value``: the latter goes
+    through the ``Enum`` property descriptor, a Python-level call per
+    packet.  Each queue's ``enqueue`` updates the accept counters
+    inline; drops go through :meth:`record_drop`.
     """
 
     __slots__ = (
@@ -49,15 +59,10 @@ class QueueStats:
         self._drops_by_color = [0] * len(Color)
         self._accepts_by_color = [0] * len(Color)
 
-    def record_accept(self, packet: Packet) -> None:
-        self.enqueued += 1
-        self.enqueued_bytes += packet.size
-        self._accepts_by_color[packet.color.value] += 1
-
     def record_drop(self, packet: Packet) -> None:
         self.dropped += 1
         self.dropped_bytes += packet.size
-        self._drops_by_color[packet.color.value] += 1
+        self._drops_by_color[packet.color._value_] += 1
 
     @property
     def drops_by_color(self) -> Dict[Color, int]:
@@ -136,9 +141,13 @@ class DropTailQueue:
         ):
             self.stats.record_drop(packet)
             return False
+        size = packet.size
         self._items.append(packet)
-        self._bytes += packet.size
-        self.stats.record_accept(packet)
+        self._bytes += size
+        stats = self.stats
+        stats.enqueued += 1
+        stats.enqueued_bytes += size
+        stats._accepts_by_color[packet.color._value_] += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -263,10 +272,14 @@ class RedQueue:
         if drop:
             self.stats.record_drop(packet)
             return False
+        size = packet.size
         self._items.append(packet)
-        self._bytes += packet.size
+        self._bytes += size
         self._idle_since = None
-        self.stats.record_accept(packet)
+        stats = self.stats
+        stats.enqueued += 1
+        stats.enqueued_bytes += size
+        stats._accepts_by_color[packet.color._value_] += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -352,7 +365,7 @@ class RioQueue:
         physically queued in-profile packets.  Adding 0 keeps the
         arithmetic bit-identical when no background is compiled.
         """
-        in_profile = packet.color is Color.GREEN
+        in_profile = packet.color is _GREEN
         q_total = len(self._items) + self.fluid_pkts
         weight = self.weight
         # -- averages: idle decay or per-precedence EWMA
@@ -411,12 +424,16 @@ class RioQueue:
         if drop:
             self.stats.record_drop(packet)
             return False
+        size = packet.size
         self._items.append(packet)
-        self._bytes += packet.size
+        self._bytes += size
         if in_profile:
             self._in_count_q += 1
         self._idle_since = None
-        self.stats.record_accept(packet)
+        stats = self.stats
+        stats.enqueued += 1
+        stats.enqueued_bytes += size
+        stats._accepts_by_color[packet.color._value_] += 1
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -425,7 +442,7 @@ class RioQueue:
             return None
         packet = items.popleft()
         self._bytes -= packet.size
-        if packet.color is Color.GREEN:
+        if packet.color is _GREEN:
             self._in_count_q -= 1
         self.stats.dequeued += 1
         if not items and not self.fluid_pkts:

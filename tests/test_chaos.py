@@ -41,6 +41,7 @@ from repro.harness.result import ScenarioResult
 from repro.harness.runner import (
     CorruptCacheWarning,
     RunRecord,
+    SweepManifest,
     SweepRunError,
     run_matrix,
     shutdown_warm_pool,
@@ -583,6 +584,22 @@ class TestManifestResume:
         assert all(r.ok for r in resumed)
         assert [r.cached for r in resumed] == [True, True, False, True]
         assert result_bytes(resumed) == result_bytes(reference)
+
+    def test_resume_after_torn_tail_keeps_the_new_entry(self, tmp_path):
+        # a hard kill tore cell 1's line; the resumed manifest must not
+        # glue cell 2's entry onto the garbage
+        path = tmp_path / "s.manifest.jsonl"
+        manifest = SweepManifest(path, "s", "abc", 4)
+        manifest.record(0, "ok")
+        manifest.close()
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"i": 1, "sta')
+        resumed = SweepManifest(path, "s", "abc", 4, resume=True)
+        resumed.record(2, "ok")
+        resumed.close()
+        reloaded = SweepManifest(path, "s", "abc", 4, resume=True)
+        reloaded.close()
+        assert reloaded.statuses == {0: "ok", 2: "ok"}
 
     def test_resume_grid_mismatch_is_an_error(self, tmp_path):
         cache = tmp_path / "memo"

@@ -5,7 +5,12 @@ import os
 
 import pytest
 
-from repro.ioutil import atomic_write_bytes, atomic_write_json, atomic_write_text
+from repro.ioutil import (
+    atomic_write_bytes,
+    atomic_write_json,
+    atomic_write_text,
+    open_jsonl_append,
+)
 
 
 class TestAtomicWrite:
@@ -66,6 +71,22 @@ class TestAtomicWrite:
         atomic_write_bytes(path, b"payload", fsync=False)
         assert path.read_bytes() == b"payload"
         assert [p.name for p in tmp_path.iterdir()] == ["fast.bin"]
+
+
+class TestJsonlAppend:
+    @pytest.mark.parametrize("before, after", [
+        (None, '{"i": 2}\n'),  # missing file is created
+        ("", '{"i": 2}\n'),
+        ('{"i": 0}\n', '{"i": 0}\n{"i": 2}\n'),
+        ('{"i": 0}\n{"i": 1, "sta', '{"i": 0}\n{"i": 1, "sta\n{"i": 2}\n'),
+    ])
+    def test_torn_tail_is_terminated_once(self, tmp_path, before, after):
+        path = tmp_path / "journal.jsonl"
+        if before is not None:
+            path.write_text(before, encoding="utf-8")
+        with open_jsonl_append(path) as fh:
+            fh.write('{"i": 2}\n')
+        assert path.read_text(encoding="utf-8") == after
 
 
 class TestAdoption:

@@ -338,6 +338,16 @@ class TestSpanWriter:
         events = read_spans(str(path))
         assert len(events) == 1 and events[0]["event"] == "queued"
 
+    def test_append_after_torn_tail_keeps_the_new_event(self, tmp_path):
+        # a kill mid-write left a torn last line; the resumed writer must
+        # not glue its first event onto the garbage
+        path = tmp_path / "s.spans.jsonl"
+        path.write_text('{"event": "done", "i": 0}\n{"event": "done", "i": 1, "wa')
+        with SpanWriter(str(path), append=True) as w:
+            w({"event": "done", "i": 2})
+        events = read_spans(str(path))
+        assert [e["i"] for e in events] == [0, 2]
+
     def test_no_path_writes_no_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with SpanWriter() as w:
