@@ -18,9 +18,10 @@ the fabric now recovers what it can and reports the rest:
    cell: ``results.ok()`` / ``results.failures()`` /
    ``results.coverage()``; tables grow a ``status`` column and
    aggregates skip failed cells while counting them.
-4. **Resume** — every cached sweep journals per-cell status to a
-   manifest next to the memo; ``run(resume=True)`` (CLI ``--resume``)
-   re-runs only the missing/failed cells.
+4. **Resume** — every cached sweep journals its span events to a
+   ledger next to the memo (``<scenario>.spans.jsonl``; a cell's
+   outcome is its last ``done``/``failed`` event); ``run(resume=True)``
+   (CLI ``--resume``) re-runs only the missing/failed cells.
 
 Run:  python examples/fault_tolerant_sweep.py
 The same flow from the command line:
@@ -85,6 +86,15 @@ def main() -> None:
     # aggregates skip the failed cells and report per-group coverage
     print(results.aggregate("goodput_bps", over="seed")
           .table(title="goodput (failed cells skipped, counted)"))
+
+    # the ledger next to the memo recorded each cell's outcome
+    from repro.harness.runner import make_cache, spans_path
+    from repro.obs.spans import read_spans
+
+    ledger = read_spans(spans_path(make_cache(CACHE_DIR), "lossy_path"))
+    outcomes = {e["i"]: e["event"] for e in ledger
+                if e["event"] in ("done", "failed")}
+    print(f"ledger: {sorted(outcomes.items())}")
 
     # --- 4. the broken cell is fixed (here: the fault plan is gone);
     # resume re-runs ONLY the missing/failed cells — everything else

@@ -173,10 +173,11 @@ class Experiment:
     def trace(self, enabled: bool = True) -> "Experiment":
         """Record structured span events for every cell of the sweep.
 
-        The events land on ``ResultSet.spans``; with a configured
-        :meth:`cache` they are also journaled as JSONL next to the
-        sweep manifest (``<scenario>.spans.jsonl``).  Off by default —
-        an untraced sweep constructs no events anywhere.
+        The events land on ``ResultSet.spans``.  With a configured
+        :meth:`cache` every sweep, traced or not, journals the same
+        events to its ledger (``<scenario>.spans.jsonl`` next to the
+        memo).  Off by default — an untraced sweep without a cache
+        constructs no events anywhere.
         """
         self._trace = bool(enabled)
         return self
@@ -254,14 +255,13 @@ class Experiment:
             like ``"keep"``, but with retries defaulting to 2 when
             :meth:`retries` was not called.
 
-        ``resume=True`` re-opens this sweep's journaled manifest and
-        re-runs only missing/failed cells (requires a configured
-        :meth:`cache`).
+        ``resume=True`` re-opens this sweep's ledger and re-runs only
+        missing/failed cells (requires a configured :meth:`cache`).
 
         ``observer``, when given, receives every span event of the
         sweep (see :mod:`repro.obs.spans` for the vocabulary) — this is
         what the CLI ``--progress`` renderer hooks; it composes with
-        :meth:`trace`, which additionally journals the events.
+        :meth:`trace`, which additionally keeps the events.
         """
         if on_failure not in ("raise", "keep", "retry"):
             raise ValueError(
@@ -275,15 +275,9 @@ class Experiment:
         writer = None
         run_observer = observer
         if self._trace:
-            from repro.harness.runner import make_cache, spans_path
             from repro.obs.spans import SpanWriter
 
-            cache = make_cache(self._cache_dir)
-            path = (
-                str(spans_path(cache, self._spec.name))
-                if cache is not None else None
-            )
-            writer = SpanWriter(path, header={
+            writer = SpanWriter(header={
                 "scenario": self._spec.name,
                 "cells": self.n_cells(),
                 "started": time.time(),
@@ -297,25 +291,21 @@ class Experiment:
                     _w(event)
                     _o(event)
 
-        try:
-            records = run_matrix(
-                self._spec.name,
-                self._grid or None,
-                base=self._base or None,
-                seeds=self._seeds,
-                workers=self._workers,
-                cache_dir=self._cache_dir,
-                progress=progress,
-                max_retries=max_retries,
-                run_timeout=self._run_timeout,
-                strict=(on_failure == "raise"),
-                resume=resume,
-                observer=run_observer,
-                profile=self._profile,
-            )
-        finally:
-            if writer is not None:
-                writer.close()
+        records = run_matrix(
+            self._spec.name,
+            self._grid or None,
+            base=self._base or None,
+            seeds=self._seeds,
+            workers=self._workers,
+            cache_dir=self._cache_dir,
+            progress=progress,
+            max_retries=max_retries,
+            run_timeout=self._run_timeout,
+            strict=(on_failure == "raise"),
+            resume=resume,
+            observer=run_observer,
+            profile=self._profile,
+        )
 
         declared = None
         if self._spec.result_type is not None:

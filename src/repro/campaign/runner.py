@@ -57,7 +57,7 @@ from repro.campaign.store import (
 )
 from repro.harness.faults import CAMPAIGN_CHECKPOINT_SCOPE, FaultPlan, plan_from_env
 from repro.harness.runner import code_version
-from repro.ioutil import atomic_write_json, atomic_write_text
+from repro.ioutil import JsonlJournal, atomic_write_json, atomic_write_text
 from repro.obs.spans import SpanWriter
 
 __all__ = [
@@ -308,7 +308,7 @@ class Campaign:
             experiment = job.experiment().cache(store.cache_dir)
             if workers is not None:
                 experiment.workers(workers)
-            sweep_spans = SpanWriter(str(job_dir / "spans.jsonl"), header={
+            sweep_spans = SpanWriter(header={
                 "scenario": job.scenario,
                 "campaign": self._name,
                 "job": job.name,
@@ -320,7 +320,11 @@ class Campaign:
                     on_failure=job.on_failure, observer=sweep_spans,
                 )
             finally:
-                sweep_spans.close()
+                # the sweep's ledger under cache/ is the durable record
+                # while it runs; this per-job copy is written once
+                job_spans = JsonlJournal(job_dir / "spans.jsonl")
+                job_spans.append(*sweep_spans.events)
+                job_spans.close()
         except Exception as exc:  # terminal: record and move on
             failure = _failure_detail(exc)
             atomic_write_json(job_dir / "failure.json", failure)

@@ -14,8 +14,8 @@ Layout under the campaign directory::
     scenarios/<job>/        per-job artifacts: results.csv, results.json,
                             table.txt (or failure.json for a terminally
                             failed job)
-    cache/                  the sweep memo cache + per-scenario sweep
-                            manifests and span journals (execution
+    cache/                  the sweep memo cache + one sweep ledger
+                            (span journal) per scenario (execution
                             metadata — untracked)
     quarantine/             where ``verify`` moves corrupt artifacts
 
@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro.ioutil import atomic_write_json, open_jsonl_append
+from repro.ioutil import JsonlJournal, atomic_write_json, read_jsonl
 from repro.campaign.spec import CampaignError, CampaignSpec
 
 __all__ = [
@@ -301,12 +300,12 @@ class CampaignJournal:
          "ok"|"partial"|"failed", ...}
         {"seq": N, "event": "report"}
 
-    Each entry is written, flushed and fsync'd before the runner moves
-    on, so a SIGKILL between checkpoints loses nothing and a SIGKILL
-    *during* one loses at most the in-flight line — which the loader
-    skips as torn.  ``resume=True`` validates the existing header and
-    appends; a mismatch (edited spec or code) raises instead of mixing
-    incompatible results in one directory.
+    The file is a :class:`~repro.ioutil.JsonlJournal`: each entry is
+    durable before the runner moves on, so a SIGKILL between checkpoints
+    loses nothing and a SIGKILL *during* one loses at most the in-flight
+    line — which the loader skips as torn.  ``resume=True`` validates the
+    existing header and appends; a mismatch (edited spec or code) raises
+    instead of mixing incompatible results in one directory.
     """
 
     VERSION = 1
@@ -317,60 +316,45 @@ class CampaignJournal:
         self.campaign = campaign
         self.spec_hash = spec_hash
         self.code_version = code_version
+        self._log = JsonlJournal(self.path, {
+            "journal": self.VERSION,
+            "campaign": campaign,
+            "spec_hash": spec_hash,
+            "code_version": code_version,
+        }, resume=resume)
+        self.resumed = self._log.resumed
+        if self.resumed:
+            try:
+                self._check_header(self._log.header)
+            except CampaignError:
+                self._log.close()
+                raise
+        state = self._fold(self._log.header, self._log.entries)
         #: last recorded entry per scenario name (name -> entry dict)
-        self.scenarios: Dict[str, Dict[str, Any]] = {}
-        self.report_done = False
-        self.next_seq = 1
-        self.resumed = False
-        self._torn_tail = False
-        if resume and self.path.exists():
-            state = self.read(self.path)
-            self._check_header(state["header"])
-            self.scenarios = state["scenarios"]
-            self.report_done = state["report_done"]
-            self.next_seq = state["max_seq"] + 1
-            # a SIGKILL mid-write can leave a torn final line; the
-            # helper terminates it before the next entry is appended
-            self._fh = open_jsonl_append(self.path)
-            self.resumed = True
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("w", encoding="utf-8")
-            self._write_line({
-                "journal": self.VERSION,
-                "campaign": campaign,
-                "spec_hash": spec_hash,
-                "code_version": code_version,
-            })
+        self.scenarios: Dict[str, Dict[str, Any]] = state["scenarios"]
+        self.report_done: bool = state["report_done"]
+        self.next_seq: int = state["max_seq"] + 1
 
     @staticmethod
     def read(path: Union[str, Path]) -> Dict[str, Any]:
-        """Parse a journal file (torn-final-line tolerant, no locking).
+        """Parse a journal file (torn-line tolerant, no locking).
 
         Returns ``{"header": dict, "scenarios": {name: last entry},
         "report_done": bool, "max_seq": int}``.
         """
-        header: Dict[str, Any] = {}
+        try:
+            entries = read_jsonl(path)
+        except OSError:
+            entries = []
+        return CampaignJournal._fold(entries[0] if entries else {}, entries[1:])
+
+    @staticmethod
+    def _fold(header: Dict[str, Any],
+              entries: List[Dict[str, Any]]) -> Dict[str, Any]:
         scenarios: Dict[str, Dict[str, Any]] = {}
         report_done = False
         max_seq = 0
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError:
-            lines = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn (or chaos-injected) garbage line
-            if not isinstance(entry, dict):
-                continue
-            if "journal" in entry and not header:
-                header = entry
-                continue
+        for entry in entries:
             if entry.get("event") == "scenario" and "name" in entry:
                 scenarios[str(entry["name"])] = entry
             elif entry.get("event") == "report":
@@ -380,14 +364,14 @@ class CampaignJournal:
             except (TypeError, ValueError):
                 pass
         return {
-            "header": header,
+            "header": header if "journal" in header else {},
             "scenarios": scenarios,
             "report_done": report_done,
             "max_seq": max_seq,
         }
 
     def _check_header(self, header: Mapping[str, Any]) -> None:
-        if not header:
+        if "journal" not in header:
             raise CampaignError(
                 f"cannot resume: {self.path} has no readable journal header"
             )
@@ -410,26 +394,16 @@ class CampaignJournal:
                 "versions; re-run into a fresh directory"
             )
 
-    def _write_line(self, entry: Mapping[str, Any]) -> None:
-        if self._torn_tail:
-            self._fh.write("\n")  # terminate the torn line first
-            self._torn_tail = False
-        self._fh.write(json.dumps(entry, sort_keys=True, default=repr) + "\n")
-        self._fh.flush()
-        try:
-            os.fsync(self._fh.fileno())
-        except OSError:
-            pass
-
     def write_garbage_line(self) -> None:
-        """Simulate a torn write (the ``corrupt`` checkpoint fault)."""
-        self._fh.write('{"seq": ')  # no newline: a genuinely torn entry
-        self._torn_tail = True
-        self._fh.flush()
-        try:
-            os.fsync(self._fh.fileno())
-        except OSError:
-            pass
+        """Simulate a torn write (the ``corrupt`` checkpoint fault).
+
+        The garbage goes in without a newline, as a kill mid-write would
+        leave it, and the journal re-opens the way a resume does.
+        """
+        self._log.close()
+        with self.path.open("a", encoding="utf-8") as fh:
+            fh.write('{"seq": ')
+        self._log = JsonlJournal(self.path, resume=True)
 
     def record_scenario(self, name: str, status: str, **detail: Any) -> None:
         entry = {
@@ -439,12 +413,12 @@ class CampaignJournal:
             "status": status,
             **detail,
         }
-        self._write_line(entry)
+        self._log.append(entry)
         self.scenarios[name] = entry
         self.next_seq += 1
 
     def record_report(self) -> None:
-        self._write_line({"seq": self.next_seq, "event": "report"})
+        self._log.append({"seq": self.next_seq, "event": "report"})
         self.report_done = True
         self.next_seq += 1
 
@@ -453,12 +427,4 @@ class CampaignJournal:
         return None if entry is None else str(entry.get("status"))
 
     def close(self) -> None:
-        try:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except Exception:
-            pass
-        try:
-            self._fh.close()
-        except Exception:
-            pass
+        self._log.close()

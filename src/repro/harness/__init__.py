@@ -18,9 +18,7 @@ The layers:
   golden trace probes that pin the engine's exact behavior.
 
 :mod:`repro.api` (``Experiment`` / ``ResultSet``) is the public front
-door over all of this; prefer it for new code.  The historical flat
-imports (``from repro.harness.scenarios import af_dumbbell_scenario``)
-keep working via the deprecated re-export shim.
+door over all of this; prefer it for new code.
 """
 
 from repro.harness.experiments.ablation import gtfrc_ablation_scenario

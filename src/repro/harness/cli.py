@@ -30,7 +30,8 @@ retries becomes a terminal failure *kept in the output* (a ``status``
 column appears, aggregates skip the cell), and a failure summary
 footer goes to stderr with exit status 1 — stdout stays pipeable
 data either way.  ``--resume`` re-runs only the missing/failed cells
-of an interrupted sweep (journaled manifest next to the memo cache);
+of an interrupted sweep (its ledger, the span JSONL next to the memo
+cache);
 ``--strict`` restores abort-on-first-error.
 
 ``bench`` runs the pinned perf suite (:mod:`repro.harness.bench`) and
@@ -105,9 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--resume",
         action="store_true",
-        help="resume this sweep from its journaled manifest: re-run "
-        "only missing/failed cells (requires caching; the grid and "
-        "code must be unchanged)",
+        help="resume this sweep from its ledger (<scenario>.spans.jsonl "
+        "next to the cache): re-run only missing/failed cells (requires "
+        "caching; the grid and code must be unchanged)",
     )
     run.add_argument(
         "--strict",
@@ -143,9 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--trace-summary",
         action="store_true",
-        help="record structured span traces for every cell (JSONL next "
-        "to the sweep manifest when caching is on) and print the span "
-        "summary table to stderr",
+        help="record structured span traces for every cell and print "
+        "the span summary table to stderr (with caching on, the same "
+        "events are journaled to the sweep ledger)",
     )
     run.add_argument(
         "--profile",

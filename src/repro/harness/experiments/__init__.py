@@ -2,9 +2,7 @@
 
 Importing this package registers every canonical scenario with
 :mod:`repro.harness.registry`.  Each module keeps one experiment's
-result dataclass and builder function together, replacing the old
-monolithic ``repro.harness.scenarios`` (which remains as a re-export
-shim for backward compatibility).
+result dataclass and builder function together.
 """
 
 from repro.harness.experiments.ablation import (  # noqa: F401

@@ -22,6 +22,8 @@ exactly what the fabric needs and nothing more:
 * **response validation**: every payload a worker returns is checked by
   a caller-supplied validator before it counts as success, so a
   corrupted record is a retryable failure, not a poisoned result;
+* **no orphans**: a worker exits as soon as its parent process is gone,
+  even mid-run, so a SIGKILLed sweep leaves no workers behind;
 * **clean abandonment**: if the caller aborts mid-section (strict-mode
   error, ``KeyboardInterrupt``), workers still holding tasks are killed
   and respawned so the pool's request/response protocol stays in sync —
@@ -41,16 +43,34 @@ import heapq
 import itertools
 import multiprocessing
 import multiprocessing.connection
+import os
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["ResilientPool", "TaskOutcome"]
+__all__ = ["ResilientPool", "TaskOutcome", "backoff_delay"]
 
 #: Failure kinds a :class:`TaskOutcome` may carry (``None`` = success).
 FAILURE_KINDS = ("error", "crash", "timeout", "invalid")
+
+#: Base delay and cap (seconds) of the exponential retry backoff.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+
+
+def backoff_delay(task_id: int, attempt: int) -> float:
+    """Seconds to wait before retrying ``task_id`` after failed ``attempt``.
+
+    ``min(BACKOFF_BASE * 2**(attempt-1), BACKOFF_CAP)`` times a jitter
+    factor in [0.5, 1.5) hashed from ``(task_id, attempt)``: retries of
+    different cells spread out, yet the same plan waits the same on
+    every run and on the in-process and the pool paths alike.
+    """
+    digest = hashlib.sha256(f"{task_id}:{attempt}".encode()).digest()
+    jitter = 0.5 + int.from_bytes(digest[:8], "big") / 2**64
+    return min(BACKOFF_BASE * 2 ** (attempt - 1), BACKOFF_CAP) * jitter
 
 
 @dataclass
@@ -72,6 +92,18 @@ class TaskOutcome:
         return self.failure is None
 
 
+def _exit_with_parent() -> None:
+    """Worker watchdog: exit as soon as the parent process is gone.
+
+    A forked worker inherits its own pipe's parent end, so a killed
+    parent never shows up as EOF on the worker's connection; the
+    parent's sentinel does fire.  Exiting from here also ends a run in
+    progress, whose result nobody is left to read.
+    """
+    multiprocessing.connection.wait([multiprocessing.parent_process().sentinel])
+    os._exit(1)
+
+
 def _worker_main(conn, fn) -> None:
     """Worker process loop: ``(task_id, task)`` in, ``(task_id, tag, ...)`` out.
 
@@ -80,6 +112,7 @@ def _worker_main(conn, fn) -> None:
     exception object rides along when picklable so strict callers can
     re-raise the original; the string triple always survives.
     """
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
     while True:
         try:
             msg = conn.recv()
@@ -134,12 +167,6 @@ class _TaskState:
     last_failure: Tuple[str, str, str, str, Optional[BaseException]] = (
         "", "", "", "", None,
     )  # (kind, error_type, message, traceback, exception)
-
-
-def _jitter(task_id: int, attempt: int) -> float:
-    """Deterministic backoff jitter factor in [0.5, 1.5)."""
-    digest = hashlib.sha256(f"{task_id}:{attempt}".encode()).digest()
-    return 0.5 + int.from_bytes(digest[:8], "big") / 2**64
 
 
 class ResilientPool:
@@ -247,8 +274,6 @@ class ResilientPool:
         validate: Optional[Callable[[Any, Any], bool]] = None,
         run_timeout: Optional[float] = None,
         max_attempts: int = 1,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         observer: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
         """Execute ``tasks`` (``(task_id, task)`` pairs) to completion.
@@ -282,8 +307,6 @@ class ResilientPool:
                 validate=validate,
                 run_timeout=run_timeout,
                 max_attempts=max_attempts,
-                backoff_base=backoff_base,
-                backoff_cap=backoff_cap,
                 observer=observer,
             )
 
@@ -296,8 +319,6 @@ class ResilientPool:
         validate,
         run_timeout,
         max_attempts,
-        backoff_base,
-        backoff_cap,
         observer=None,
     ) -> None:
         states: Dict[int, _TaskState] = {
@@ -322,7 +343,9 @@ class ResilientPool:
                         raise RuntimeError("no busy workers and no ready tasks")
                     time.sleep(min(max(ready[0][0] - now, 0.0), 0.05))
                     continue
-                wait_timeout = self._wait_timeout(ready, busy, now)
+                wait_timeout = self._wait_timeout(
+                    ready, busy, now, idle=len(busy) < len(self._workers)
+                )
                 ready_conns = multiprocessing.connection.wait(
                     [w.conn for w in busy], timeout=wait_timeout
                 )
@@ -333,16 +356,14 @@ class ResilientPool:
                         continue
                     remaining -= self._collect(
                         worker, states, ready, tiebreak, now,
-                        on_outcome, validate, max_attempts,
-                        backoff_base, backoff_cap, observer,
+                        on_outcome, validate, max_attempts, observer,
                     )
                 # reap deadline overruns (hung runs)
                 for worker in list(self._workers):
                     if worker.busy and now >= worker.deadline:
                         remaining -= self._fail_attempt(
                             worker, states, ready, tiebreak, now,
-                            on_outcome, max_attempts,
-                            backoff_base, backoff_cap, observer,
+                            on_outcome, max_attempts, observer,
                             kind="timeout",
                             error_type="SweepTimeout",
                             message=(
@@ -396,9 +417,12 @@ class ResilientPool:
                 })
 
     @staticmethod
-    def _wait_timeout(ready, busy, now) -> Optional[float]:
+    def _wait_timeout(ready, busy, now, *, idle: bool) -> Optional[float]:
         bounds = [w.deadline for w in busy]
-        if ready:
+        if ready and idle:
+            # a queued task can only start on an idle worker; with every
+            # worker busy its due time is no reason to wake (a due task
+            # would make the timeout 0 and the loop spin)
             bounds.append(ready[0][0])
         tightest = min(bounds)
         if tightest == float("inf"):
@@ -407,8 +431,7 @@ class ResilientPool:
 
     def _collect(
         self, worker, states, ready, tiebreak, now,
-        on_outcome, validate, max_attempts, backoff_base, backoff_cap,
-        observer=None,
+        on_outcome, validate, max_attempts, observer=None,
     ) -> int:
         """Receive one worker reply; returns 1 if its task went terminal."""
         try:
@@ -417,7 +440,7 @@ class ResilientPool:
             # pipe EOF / unpicklable reply: the worker is gone or insane
             return self._fail_attempt(
                 worker, states, ready, tiebreak, now,
-                on_outcome, max_attempts, backoff_base, backoff_cap, observer,
+                on_outcome, max_attempts, observer,
                 kind="crash",
                 error_type="WorkerCrash",
                 message="worker process died mid-run (killed, OOM or hard exit)",
@@ -430,7 +453,7 @@ class ResilientPool:
         if reply_id != task_id:  # pragma: no cover - protocol desync guard
             return self._fail_attempt(
                 worker, states, ready, tiebreak, now,
-                on_outcome, max_attempts, backoff_base, backoff_cap, observer,
+                on_outcome, max_attempts, observer,
                 kind="invalid",
                 error_type="ProtocolError",
                 message=f"worker answered task {reply_id}, expected {task_id}",
@@ -452,7 +475,7 @@ class ResilientPool:
         if tag == "ok":  # failed validation: a corrupted response
             return self._fail_attempt(
                 worker, states, ready, tiebreak, now,
-                on_outcome, max_attempts, backoff_base, backoff_cap, observer,
+                on_outcome, max_attempts, observer,
                 kind="invalid",
                 error_type="CorruptRecordError",
                 message=(
@@ -464,7 +487,7 @@ class ResilientPool:
         error_type, message, tb_text, exc = payload
         return self._fail_attempt(
             worker, states, ready, tiebreak, now,
-            on_outcome, max_attempts, backoff_base, backoff_cap, observer,
+            on_outcome, max_attempts, observer,
             kind="error",
             error_type=error_type,
             message=message,
@@ -475,7 +498,7 @@ class ResilientPool:
 
     def _fail_attempt(
         self, worker, states, ready, tiebreak, now,
-        on_outcome, max_attempts, backoff_base, backoff_cap, observer=None,
+        on_outcome, max_attempts, observer=None,
         *, kind, error_type, message, traceback_text="", exception=None,
         repair,
     ) -> int:
@@ -494,10 +517,7 @@ class ResilientPool:
         if repair:
             self._repair(worker)
         if state.attempts < max_attempts:
-            delay = min(
-                backoff_base * (2 ** (state.attempts - 1)),
-                backoff_cap,
-            ) * _jitter(task_id, state.attempts)
+            delay = backoff_delay(task_id, state.attempts)
             heapq.heappush(ready, (now + delay, next(tiebreak), task_id))
             if observer is not None:
                 observer({

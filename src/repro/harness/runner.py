@@ -22,10 +22,11 @@ positional pickling (``RunRecord.__reduce__``).
 Failure semantics (PR 7):
 
 * every run may be retried (``max_retries``) with exponential backoff
-  plus deterministic jitter; a per-run wall-clock ``run_timeout`` reaps
-  hung runs (parallel sections only — a single in-process run cannot
-  preempt itself, so a ``run_timeout`` forces pool execution even for
-  ``workers=1``);
+  plus deterministic jitter (:func:`~repro.harness.pool.backoff_delay`,
+  the same on the in-process and the pool paths); a per-run wall-clock
+  ``run_timeout`` reaps hung runs (parallel sections only — a single
+  in-process run cannot preempt itself, so a ``run_timeout`` forces
+  pool execution even for ``workers=1``);
 * with ``strict=True`` (the default, and the seed behaviour) the first
   terminal failure raises — the original exception where it survives
   pickling, :class:`SweepRunError` for crashes/timeouts;
@@ -45,19 +46,21 @@ Failure semantics (PR 7):
   :mod:`repro.harness.faults` (``REPRO_FAULTS`` or the ``faults=``
   argument): plans travel with each task into the workers.
 
-Sweep manifest and resume: when caching is enabled, every sweep
-journals per-cell status (``ok``/``failed``) to a
-``<scenario>.manifest.jsonl`` file next to the memo cache (header:
-grid hash over the exact run list + code version), flushed
-line-by-line so even a SIGKILLed sweep leaves a valid journal.
-``resume=True`` re-opens a matching manifest instead of starting a
-fresh one — a header mismatch (changed grid or code) is an error
-rather than a silent restart — an interrupted or partially failed sweep re-runs only the
-missing/failed cells (completed cells load from the memo) and produces
-the same records as an uninterrupted run.  ``KeyboardInterrupt`` and
-(in the main thread) ``SIGTERM`` shut the parallel section down
-cleanly: wedged workers are repaired, the manifest keeps every
-completed cell, and the warm pool survives for the resuming call.
+Sweep ledger and resume: when caching is enabled, every sweep journals
+its span events (see :mod:`repro.obs.spans`) to
+``<scenario>.spans.jsonl`` next to the memo cache, one fsync'd line per
+event, so even a SIGKILLed sweep leaves a valid ledger.  Its header pins
+the sweep identity (scenario, cell count, and a grid hash over the
+exact run list and code version); a cell's outcome is its last
+``done``/``failed`` event.  ``resume=True`` re-opens a matching ledger
+instead of starting a fresh one — a header mismatch (changed grid or
+code) is an error rather than a silent restart — and an interrupted or
+partially failed sweep re-runs only the missing/failed cells (completed
+cells load from the memo), producing the same records as an
+uninterrupted run.  ``KeyboardInterrupt`` and (in the main thread)
+``SIGTERM`` shut the parallel section down cleanly: wedged workers are
+repaired, the ledger keeps every completed cell, and the warm pool
+survives for the resuming call.
 
 Determinism guarantees (unchanged from the seed):
 
@@ -104,10 +107,10 @@ from typing import (
     Tuple,
 )
 
-from repro.ioutil import atomic_write_bytes, open_jsonl_append
+from repro.ioutil import atomic_write_bytes
 
 from repro.harness import faults as faults_mod
-from repro.harness.pool import ResilientPool, TaskOutcome
+from repro.harness.pool import ResilientPool, TaskOutcome, backoff_delay
 from repro.harness.registry import get_scenario
 from repro.harness.result import RunFailure
 
@@ -117,7 +120,6 @@ __all__ = [
     "RunRecord",
     "SqliteSweepCache",
     "SweepCache",
-    "SweepManifest",
     "SweepRunError",
     "code_version",
     "expand_grid",
@@ -136,12 +138,6 @@ __all__ = [
 #: pickle-per-run directory.  Explicitly disabled caching
 #: (``cache_dir=None`` / ``--no-cache``) always wins over the variable.
 CACHE_ENV = "REPRO_CACHE"
-
-#: Base delay (seconds) for the exponential retry backoff; attempt N
-#: waits ``base * 2**(N-1) * jitter`` with deterministic jitter in
-#: [0.5, 1.5), capped at :data:`BACKOFF_CAP`.
-BACKOFF_BASE = 0.05
-BACKOFF_CAP = 2.0
 
 
 class CorruptCacheWarning(UserWarning):
@@ -599,151 +595,49 @@ def make_cache(cache_dir: Optional[Path]):
 
 
 # ----------------------------------------------------------------------
-# sweep manifest: the journaled per-cell status ledger
+# sweep ledger: the span stream, journaled next to the memo cache
 # ----------------------------------------------------------------------
-class SweepManifest:
-    """A journaled per-cell status ledger for one sweep invocation.
-
-    One JSONL file next to the memo cache: a header line pinning the
-    sweep identity (scenario, grid hash over the exact run-parameter
-    list and ``code_version``, cell count), then one line per completed
-    cell — ``{"i": index, "status": "ok"|"failed", ...}`` — appended
-    and flushed as cells finish, so even a hard-killed sweep leaves a
-    valid journal of everything that completed.
-
-    ``resume=True`` re-opens an existing journal whose header matches
-    and appends to it; a header mismatch (different grid, edited code)
-    is an error rather than a silent restart.  Without ``resume`` the
-    journal is started fresh.
-    """
-
-    VERSION = 1
-
-    def __init__(self, path: Path, scenario: str, grid_hash: str,
-                 n_cells: int, *, resume: bool = False):
-        self.path = Path(path)
-        self.scenario = scenario
-        self.grid_hash = grid_hash
-        self.n_cells = n_cells
-        self.statuses: Dict[int, str] = {}
-        self.resumed = False
-        if resume and self.path.exists():
-            self._load_existing()
-            self._fh = open_jsonl_append(self.path)
-            self.resumed = True
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("w", encoding="utf-8")
-            self._append({
-                "manifest": self.VERSION,
-                "scenario": scenario,
-                "grid_hash": grid_hash,
-                "cells": n_cells,
-            })
-
-    @staticmethod
-    def grid_hash_of(scenario: str, run_params: Sequence[Mapping[str, Any]]) -> str:
-        """Identity of one sweep: scenario + exact run list + code version."""
-        payload = json.dumps(
-            [scenario, list(run_params), code_version()],
-            sort_keys=True,
-            default=repr,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def _load_existing(self) -> None:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        header: Dict[str, Any] = {}
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn final line from a hard kill
-            if "manifest" in entry and not header:
-                header = entry
-                continue
-            if "i" in entry and "status" in entry:
-                self.statuses[int(entry["i"])] = entry["status"]
-        mismatch = (
-            header.get("scenario") != self.scenario
-            or header.get("grid_hash") != self.grid_hash
-            or header.get("cells") != self.n_cells
-        )
-        if mismatch:
-            raise ValueError(
-                f"cannot resume: manifest {self.path} was written for "
-                f"scenario {header.get('scenario')!r} grid "
-                f"{header.get('grid_hash')!r} ({header.get('cells')} cells), "
-                f"but this sweep is {self.scenario!r} grid "
-                f"{self.grid_hash!r} ({self.n_cells} cells) — the grid or "
-                "the code changed; drop --resume to start fresh"
-            )
-
-    def _append(self, entry: Mapping[str, Any]) -> None:
-        self._fh.write(json.dumps(entry, sort_keys=True, default=repr) + "\n")
-        self._fh.flush()
-        # fsync per entry: a hard-killed (or power-cut) orchestrator
-        # loses at most the in-flight line, which the resume loader
-        # already tolerates as a torn final line
-        try:
-            os.fsync(self._fh.fileno())
-        except OSError:
-            pass
-
-    def record(self, index: int, status: str, error: str = "") -> None:
-        """Journal one completed cell (flushed immediately)."""
-        entry: Dict[str, Any] = {"i": index, "status": status}
-        if error:
-            entry["error"] = error
-        self._append(entry)
-        self.statuses[index] = status
-
-    def counts(self) -> Dict[str, int]:
-        """``{"ok": N, "failed": M, "pending": K}`` summary."""
-        ok = sum(1 for s in self.statuses.values() if s == "ok")
-        failed = sum(1 for s in self.statuses.values() if s == "failed")
-        return {
-            "ok": ok,
-            "failed": failed,
-            "pending": self.n_cells - ok - failed,
-        }
-
-    def close(self) -> None:
-        try:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except Exception:
-            pass
-        try:
-            self._fh.close()
-        except Exception:
-            pass
-
-
-def _manifest_path(cache: Any, scenario: str) -> Path:
-    """Where the manifest for one sweep lives (next to its memo cache).
-
-    One journal per scenario per cache location — deliberately *not*
-    keyed by grid hash, so ``resume=True`` can find the previous
-    sweep's journal and *validate* its header against this sweep's
-    grid hash (a silent fresh start on a changed grid would defeat the
-    point of asking to resume).
-    """
-    name = f"{scenario}.manifest.jsonl"
-    if isinstance(cache, SqliteSweepCache):
-        return cache.path.parent / f"{cache.path.name}.{name}"
-    return cache.directory / name
-
-
 def spans_path(cache: Any, scenario: str) -> Path:
-    """Where a traced sweep's span JSONL lives (next to its manifest)."""
+    """Where a sweep's ledger (its span JSONL) lives, next to its memo cache.
+
+    One ledger per scenario per cache location — deliberately *not*
+    keyed by grid hash, so ``resume=True`` can find the previous sweep's
+    ledger and *validate* its header against this sweep's grid hash (a
+    silent fresh start on a changed grid would defeat the point of
+    asking to resume).
+    """
     name = f"{scenario}.spans.jsonl"
     if isinstance(cache, SqliteSweepCache):
         return cache.path.parent / f"{cache.path.name}.{name}"
     return cache.directory / name
+
+
+def _open_ledger(path: Path, scenario: str,
+                 run_params: Sequence[Mapping[str, Any]], resume: bool):
+    """Open the sweep ledger; on ``resume``, check it is this sweep's."""
+    from repro.obs.spans import SpanWriter
+
+    digest = hashlib.sha256(json.dumps(
+        [scenario, list(run_params), code_version()],
+        sort_keys=True,
+        default=repr,
+    ).encode()).hexdigest()[:16]
+    identity = {"scenario": scenario, "cells": len(run_params),
+                "grid_hash": digest}
+    ledger = SpanWriter(path, header={**identity, "started": time.time()},
+                        append=resume)
+    prior = ledger.journal.header
+    if ledger.journal.resumed and any(
+            prior.get(key) != value for key, value in identity.items()):
+        ledger.close()
+        raise ValueError(
+            f"cannot resume: ledger {path} was written for scenario "
+            f"{prior.get('scenario')!r} grid {prior.get('grid_hash')!r} "
+            f"({prior.get('cells')} cells), but this sweep is "
+            f"{scenario!r} grid {digest!r} ({len(run_params)} cells) — the "
+            "grid or the code changed; drop --resume to start fresh"
+        )
+    return ledger
 
 
 # ----------------------------------------------------------------------
@@ -966,7 +860,7 @@ def _sigterm_as_interrupt():
     """Convert SIGTERM into KeyboardInterrupt for one sweep (main thread).
 
     Gives a terminated sweep the same clean shutdown path as Ctrl-C:
-    wedged workers are repaired, the manifest journal stays valid, and
+    wedged workers are repaired, the sweep ledger stays valid, and
     a follow-up ``--resume`` completes the remaining cells.  A no-op
     off the main thread (signal handlers cannot be installed there).
     """
@@ -1049,12 +943,13 @@ def run_matrix(
         pickling, :class:`SweepRunError` otherwise.  ``False``: a
         terminally failed cell becomes a :class:`RunRecord` carrying a
         :class:`~repro.harness.result.RunFailure` and the sweep
-        completes.
+        completes.  Either way the cell's ``failed`` event reaches the
+        ledger and ``observer`` first.
     resume:
-        Re-open this sweep's manifest journal instead of starting it
-        fresh, re-running only missing/failed cells (completed cells
-        load from the memo cache).  Requires caching; a manifest whose
-        grid hash does not match is an error.
+        Re-open this sweep's ledger instead of starting it fresh,
+        re-running only missing/failed cells (completed cells load from
+        the memo cache).  Requires caching; a ledger whose header does
+        not match this sweep's grid hash is an error.
     faults:
         Explicit :class:`~repro.harness.faults.FaultPlan` for chaos
         testing; defaults to the ``REPRO_FAULTS`` environment hook.
@@ -1062,9 +957,10 @@ def run_matrix(
     observer:
         Optional span-trace callback (see :mod:`repro.obs.spans`)
         receiving flat event dicts for every cell transition — queued,
-        dispatched, retry, done, failed.  ``None`` (the default) keeps
-        the sweep structurally unobserved: no event construction
-        happens anywhere.
+        dispatched, retry, done, failed.  With caching on, the same
+        events also go to the sweep ledger (:func:`spans_path`).  With
+        caching off, ``None`` (the default) keeps the sweep structurally
+        unobserved: no event construction happens anywhere.
     profile:
         Wrap every fresh cell's scenario function in cProfile and
         attach the compact stats to ``RunRecord.profile``.  Defaults to
@@ -1112,16 +1008,19 @@ def run_matrix(
             "resume=True needs the memo cache (it is what completed cells "
             "are restored from); do not disable caching for a resumed sweep"
         )
-    manifest: Optional[SweepManifest] = None
+    ledger = None
     if cache is not None:
-        grid_hash = SweepManifest.grid_hash_of(scenario, run_params)
-        manifest = SweepManifest(
-            _manifest_path(cache, scenario),
-            scenario,
-            grid_hash,
-            len(run_params),
-            resume=resume,
-        )
+        ledger = _open_ledger(spans_path(cache, scenario), scenario,
+                              run_params, resume)
+    emit = None
+    if ledger is not None or observer is not None:
+        def emit(*events):
+            # the durable record first, then the caller's view of it
+            if ledger is not None:
+                ledger.emit(*events)
+            if observer is not None:
+                for event in events:
+                    observer(event)
 
     records: List[Optional[RunRecord]] = [None] * len(run_params)
     try:
@@ -1129,19 +1028,18 @@ def run_matrix(
             _run_cells(
                 scenario, run_params, records,
                 cache=cache,
-                manifest=manifest,
                 progress=progress,
                 workers=workers,
                 max_retries=max_retries,
                 run_timeout=run_timeout,
                 strict=strict,
                 faults=faults,
-                observer=observer,
+                observer=emit,
                 profile=profile,
             )
     finally:
-        if manifest is not None:
-            manifest.close()
+        if ledger is not None:
+            ledger.close()
     assert all(r is not None for r in records)
     return records  # type: ignore[return-value]
 
@@ -1152,7 +1050,6 @@ def _run_cells(
     records: List[Optional[RunRecord]],
     *,
     cache,
-    manifest: Optional[SweepManifest],
     progress,
     workers: Optional[int],
     max_retries: int,
@@ -1166,15 +1063,15 @@ def _run_cells(
     for i, params in enumerate(run_params):
         cached = cache.load(scenario, params) if cache is not None else None
         if cached is not None:
-            _finish(cached, records, i, cache=None, manifest=manifest,
-                    progress=progress, observer=observer)
+            _finish(cached, records, i, cache=None, progress=progress,
+                    observer=observer)
         else:
             misses.append(i)
-    if observer is not None:
-        for i in misses:
-            observer({"event": "queued", "i": i})
     if not misses:
         return
+    if observer is not None:
+        # one call, so the ledger makes the whole queue durable at once
+        observer(*({"event": "queued", "i": i} for i in misses))
 
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     # a wall-clock deadline needs a killable worker process, so it
@@ -1183,7 +1080,7 @@ def _run_cells(
     if in_process:
         _run_serial(
             scenario, run_params, records, misses,
-            cache=cache, manifest=manifest, progress=progress,
+            cache=cache, progress=progress,
             max_retries=max_retries, strict=strict, faults=faults,
             observer=observer, profile=profile,
         )
@@ -1193,18 +1090,13 @@ def _run_cells(
 
     def on_outcome(outcome: TaskOutcome) -> None:
         index = outcome.task_id
-        params = run_params[index]
         if outcome.ok:
             _finish(outcome.payload, records, index, cache=cache,
-                    manifest=manifest, progress=progress, observer=observer)
-            return
-        if strict:
-            if manifest is not None:
-                manifest.record(index, "failed", error=outcome.error_type)
-            _raise_strict(scenario, params, outcome)
-        _finish(_failure_record(scenario, params, outcome), records, index,
-                cache=cache, manifest=manifest, progress=progress,
-                observer=observer)
+                    progress=progress, observer=observer)
+        else:
+            _fail(scenario, run_params[index], outcome, records, index,
+                  strict=strict, cache=cache, progress=progress,
+                  observer=observer)
 
     try:
         state["pool"].run_tasks(
@@ -1216,8 +1108,6 @@ def _run_cells(
             validate=_valid_response,
             run_timeout=run_timeout,
             max_attempts=max_retries + 1,
-            backoff_base=BACKOFF_BASE,
-            backoff_cap=BACKOFF_CAP,
             observer=observer,
         )
     finally:
@@ -1231,7 +1121,6 @@ def _run_serial(
     misses: List[int],
     *,
     cache,
-    manifest: Optional[SweepManifest],
     progress,
     max_retries: int,
     strict: bool,
@@ -1265,8 +1154,7 @@ def _run_serial(
                 )
                 if _valid_response((scenario, params), payload):
                     _finish(payload, records, index, cache=cache,
-                            manifest=manifest, progress=progress,
-                            observer=observer)
+                            progress=progress, observer=observer)
                     break
                 failure = TaskOutcome(
                     task_id=index,
@@ -1290,9 +1178,7 @@ def _run_serial(
                 )
             elapsed += time.perf_counter() - started
             if attempt <= max_retries:
-                delay = min(
-                    BACKOFF_BASE * (2 ** (attempt - 1)), BACKOFF_CAP
-                ) * 0.5
+                delay = backoff_delay(index, attempt)
                 if observer is not None:
                     observer({
                         "event": "retry",
@@ -1305,15 +1191,57 @@ def _run_serial(
                 continue
             failure.attempts = attempt
             failure.elapsed = elapsed
-            if strict:
-                if manifest is not None:
-                    manifest.record(index, "failed",
-                                    error=failure.error_type)
-                _raise_strict(scenario, params, failure)
-            _finish(_failure_record(scenario, params, failure), records,
-                    index, cache=cache, manifest=manifest, progress=progress,
-                    observer=observer)
+            _fail(scenario, params, failure, records, index, strict=strict,
+                  cache=cache, progress=progress, observer=observer)
             break
+
+
+def _fail(
+    scenario: str,
+    params: Dict[str, Any],
+    outcome: TaskOutcome,
+    records: List[Optional[RunRecord]],
+    index: int,
+    *,
+    strict: bool,
+    cache,
+    progress: Optional[Callable[[RunRecord], None]],
+    observer: Optional[Callable[[Dict[str, Any]], None]],
+) -> None:
+    """Terminal failure of one cell: raise (strict) or keep its record.
+
+    Either way the ``failed`` event goes out first, so the ledger holds
+    every terminal failure, including the one a strict sweep raises.
+    """
+    record = _failure_record(scenario, params, outcome)
+    if strict:
+        if observer is not None:
+            observer(_terminal_event(index, record))
+        _raise_strict(scenario, params, outcome)
+    _finish(record, records, index, cache=cache, progress=progress,
+            observer=observer)
+
+
+def _terminal_event(index: int, record: RunRecord) -> Dict[str, Any]:
+    """The ``done``/``failed`` span event for one finished cell."""
+    if record.ok:
+        return {
+            "event": "done",
+            "i": index,
+            "wall": round(record.elapsed, 6),
+            "cpu": round(record.cpu, 6),
+            "worker": record.worker_pid,
+            "attempts": record.attempts,
+            "cached": record.cached,
+        }
+    return {
+        "event": "failed",
+        "i": index,
+        "kind": record.result.failure_kind,
+        "error": record.result.error,
+        "attempts": record.attempts,
+        "wall": round(record.elapsed, 6),
+    }
 
 
 def _finish(
@@ -1322,7 +1250,6 @@ def _finish(
     index: int,
     *,
     cache,
-    manifest: Optional[SweepManifest],
     progress: Optional[Callable[[RunRecord], None]],
     observer: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> None:
@@ -1338,30 +1265,7 @@ def _finish(
         cache.store(record)
         if stats is not None:
             record.profile = stats
-    if manifest is not None:
-        if record.ok:
-            manifest.record(index, "ok")
-        else:
-            manifest.record(index, "failed", error=record.result.error)
     if observer is not None:
-        if record.ok:
-            observer({
-                "event": "done",
-                "i": index,
-                "wall": round(record.elapsed, 6),
-                "cpu": round(record.cpu, 6),
-                "worker": record.worker_pid,
-                "attempts": record.attempts,
-                "cached": record.cached,
-            })
-        else:
-            observer({
-                "event": "failed",
-                "i": index,
-                "kind": record.result.failure_kind,
-                "error": record.result.error,
-                "attempts": record.attempts,
-                "wall": round(record.elapsed, 6),
-            })
+        observer(_terminal_event(index, record))
     if progress is not None:
         progress(record)

@@ -16,8 +16,11 @@ these helpers instead of a bare ``Path.write_text``.  The contract:
 barrier; it is for high-rate writers like the sweep memo cache where a
 lost-on-power-cut entry is merely a cache miss.
 
-Append-only JSONL journals re-opened after a hard kill go through
-:func:`open_jsonl_append`, which ends a torn final line first.
+Append-only JSONL journals (the sweep ledger, the campaign journal, span
+streams) are one :class:`JsonlJournal` each: a header line, one fsync'd
+line per entry, torn-line-tolerant reads (:func:`read_jsonl`), and a
+resume that re-opens through :func:`open_jsonl_append`, which ends a torn
+final line first.
 """
 
 from __future__ import annotations
@@ -25,13 +28,15 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import IO, Any, Union
+from typing import IO, Any, Dict, List, Mapping, Optional, Union
 
 __all__ = [
+    "JsonlJournal",
     "atomic_write_bytes",
     "atomic_write_text",
     "atomic_write_json",
     "open_jsonl_append",
+    "read_jsonl",
 ]
 
 PathLike = Union[str, Path]
@@ -123,3 +128,61 @@ def open_jsonl_append(path: PathLike) -> IO[str]:
     if torn:
         fh.write("\n")
     return fh
+
+
+def read_jsonl(path: PathLike) -> List[Dict[str, Any]]:
+    """Parse a JSONL journal, skipping torn and non-object lines."""
+    entries: List[Dict[str, Any]] = []
+    with Path(path).open(encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                continue  # blank, or torn by a hard kill mid-write
+            if isinstance(entry, dict):
+                entries.append(entry)
+    return entries
+
+
+class JsonlJournal:
+    """An append-only JSONL journal: a header line, then one line per entry.
+
+    A fresh journal truncates ``path`` and writes ``header`` (when given)
+    as its first line.  ``resume=True`` on an existing file instead reads
+    it back — :attr:`header` is its first entry, :attr:`entries` the
+    rest — and re-opens it for appending.  Every append is flushed and
+    fsync'd, so a hard kill loses at most the lines in flight, which the
+    reader skips as torn.
+    """
+
+    def __init__(self, path: PathLike, header: Optional[Mapping[str, Any]] = None,
+                 *, resume: bool = False):
+        self.path = Path(path)
+        self.resumed = resume and self.path.exists()
+        self.header: Dict[str, Any] = dict(header or {})
+        self.entries: List[Dict[str, Any]] = []
+        if self.resumed:
+            prior = read_jsonl(self.path)
+            self.header = prior[0] if prior else {}
+            self.entries = prior[1:]
+            self._fh = open_jsonl_append(self.path)
+            return
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = self.path.open("w", encoding="utf-8")
+        if header is not None:
+            self.append(header)
+
+    def append(self, *entries: Mapping[str, Any]) -> None:
+        """Write ``entries`` and make them durable (one fsync) before returning."""
+        self._fh.write("".join(
+            json.dumps(entry, sort_keys=True, default=repr) + "\n"
+            for entry in entries
+        ))
+        self._fh.flush()
+        try:
+            os.fsync(self._fh.fileno())
+        except OSError:
+            pass  # a filesystem without fsync still got the flushed lines
+
+    def close(self) -> None:
+        self._fh.close()

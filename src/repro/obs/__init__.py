@@ -6,8 +6,8 @@ Four layers, all zero-cost when disabled (the default):
   (``REPRO_METRICS=1`` / :func:`enable_metrics`), JSON + Prometheus
   exports, harvest hooks for the engine and the sweep fabric;
 * :mod:`repro.obs.spans` — structured per-cell span tracing
-  (``Experiment.trace()``), JSONL next to the sweep manifest,
-  ``--trace-summary`` tables;
+  (``Experiment.trace()``), the span JSONL that is a cached sweep's
+  ledger, ``--trace-summary`` tables;
 * :mod:`repro.obs.progress` — live ``--progress`` rendering on stderr;
 * :mod:`repro.obs.profiling` — per-cell cProfile capture
   (``REPRO_PROFILE=1`` / ``Experiment.profile()``) with cross-sweep

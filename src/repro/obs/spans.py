@@ -7,15 +7,18 @@ Every sweep cell progresses through a small state machine::
 The runner emits one flat dict per transition through its ``observer``
 callback; :class:`SpanWriter` timestamps each event relative to the
 sweep start, keeps it in memory, and — when given a path — appends it
-as one JSON line so the trace lands next to the sweep manifest
-(``<scenario>.spans.jsonl``).  The file is append-only and flushed per
-event, so a killed sweep still leaves a valid prefix; :func:`read_spans`
-tolerates a torn final line.
+as one fsync'd JSON line, so a killed sweep still leaves a valid prefix;
+:func:`read_spans` skips a torn final line.  With caching on, every
+sweep journals its events this way to ``<scenario>.spans.jsonl`` next
+to the memo cache.  That file is the sweep's ledger: a cell's outcome
+is its last ``done``/``failed`` event, and ``resume`` checks the header
+and appends to the same file.
 
 Event vocabulary (all events carry ``t``, seconds since sweep start):
 
 ``sweep``
-    header — ``scenario``, ``cells``, ``started`` (epoch seconds)
+    header — ``scenario``, ``cells``, ``started`` (epoch seconds); the
+    ledger's header also pins ``grid_hash``
 ``queued``
     ``i`` (cell index) — cache miss entering the work queue
 ``dispatched``
@@ -34,12 +37,10 @@ table.
 
 from __future__ import annotations
 
-import json
-import os
 from time import perf_counter
-from typing import Any, Dict, IO, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
-from repro.ioutil import open_jsonl_append
+from repro.ioutil import JsonlJournal, read_jsonl
 
 __all__ = [
     "SpanWriter",
@@ -50,52 +51,49 @@ __all__ = [
 
 
 class SpanWriter:
-    """Collects (and optionally persists) one sweep's span events.
+    """Collects (and optionally journals) one sweep's span events.
 
     The writer is itself the observer callable: pass it wherever an
     ``observer=`` hook is accepted.  Events are kept in ``self.events``
     for in-process consumers (``ResultSet.spans``, the ``--trace-summary``
-    table) and appended to ``path`` as JSONL when a path is given.
+    table) and, when a path is given, appended to ``self.journal`` (a
+    :class:`~repro.ioutil.JsonlJournal`, one fsync'd line per event).
+    ``append=True`` continues an earlier invocation's file instead of
+    truncating it; the header is then kept in memory only, and the
+    file's own header and events are on ``self.journal``.
     """
 
     def __init__(self, path: Optional[str] = None,
                  header: Optional[Dict[str, Any]] = None,
                  *, append: bool = False):
-        self.path = str(path) if path is not None else None
         self.events: List[Dict[str, Any]] = []
         self._t0 = perf_counter()
-        self._fh: Optional[IO[str]] = None
-        if self.path is not None:
-            parent = os.path.dirname(self.path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            # append=True continues an earlier invocation's journal
-            # (campaign resume) instead of truncating it
-            self._fh = (open_jsonl_append(self.path) if append
-                        else open(self.path, "w", encoding="utf-8"))
+        first = None
         if header is not None:
-            self.emit({"event": "sweep", **header})
+            first = self._stamp({"event": "sweep", **header})
+            self.events.append(first)
+        self.journal: Optional[JsonlJournal] = None
+        if path is not None:
+            self.journal = JsonlJournal(path, first, resume=append)
 
     def __call__(self, event: Dict[str, Any]) -> None:
         self.emit(event)
 
-    def emit(self, event: Dict[str, Any]) -> None:
+    def _stamp(self, event: Dict[str, Any]) -> Dict[str, Any]:
         entry = dict(event)
         entry["t"] = round(perf_counter() - self._t0, 6)
-        self.events.append(entry)
-        if self._fh is not None:
-            self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            self._fh.flush()
+        return entry
+
+    def emit(self, *events: Dict[str, Any]) -> None:
+        """Record ``events``; a file-backed writer journals them in one append."""
+        entries = [self._stamp(event) for event in events]
+        self.events.extend(entries)
+        if self.journal is not None:
+            self.journal.append(*entries)
 
     def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            except OSError:
-                pass
-            self._fh.close()
-            self._fh = None
+        if self.journal is not None:
+            self.journal.close()
 
     def __enter__(self) -> "SpanWriter":
         return self
@@ -104,19 +102,8 @@ class SpanWriter:
         self.close()
 
 
-def read_spans(path: str) -> List[Dict[str, Any]]:
-    """Parse a span JSONL file, skipping a torn (partial) final line."""
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return events
+#: Parse a span JSONL file, skipping torn (partial) and non-object lines.
+read_spans = read_jsonl
 
 
 def span_summary(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:

@@ -276,19 +276,6 @@ class TestLegacyResultShim:
             warnings.simplefilter("error")
             ResultSet(records).metric_names  # no second warning
 
-    def test_scenarios_shim_module_warns_on_import(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.harness.scenarios", None)
-        with pytest.warns(DeprecationWarning, match="repro.harness.scenarios"):
-            import repro.harness.scenarios  # noqa: F401
-        # the flat names still resolve through the shim
-        assert hasattr(
-            importlib.import_module("repro.harness.scenarios"),
-            "af_dumbbell_scenario",
-        )
-
 
 class TestScenarioResultContract:
     def test_every_registered_scenario_declares_a_result_type(self):

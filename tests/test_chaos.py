@@ -9,7 +9,7 @@ to a fault-free run, terminal failures surface as structured
 :class:`~repro.harness.result.RunFailure` records through the
 :class:`~repro.api.ResultSet`/:class:`~repro.api.Experiment`/CLI
 layers, corrupt cache entries are quarantined, and an interrupted
-sweep resumes from its journaled manifest.
+sweep resumes from its ledger (the span stream next to the memo).
 """
 
 from __future__ import annotations
@@ -36,17 +36,18 @@ from repro.harness.faults import (
     parse_fault_plan,
     plan_from_env,
 )
+from repro.harness.pool import ResilientPool
 from repro.harness.registry import register
 from repro.harness.result import ScenarioResult
 from repro.harness.runner import (
     CorruptCacheWarning,
     RunRecord,
-    SweepManifest,
     SweepRunError,
     run_matrix,
     shutdown_warm_pool,
     warm_pool_stats,
 )
+from repro.obs.spans import read_spans
 
 
 @dataclasses.dataclass
@@ -359,6 +360,91 @@ class TestPoolChaos:
             run_matrix("chaos_probe", GRID, workers=2, faults=plan)
 
 
+    def test_backoff_is_the_same_in_process_and_in_the_pool(self):
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="raise", match={"seed": 1}, times=2),
+        ))
+        delays = {}
+        for workers in (1, 2):
+            events = []
+            run_matrix("chaos_probe", GRID, workers=workers, max_retries=2,
+                       faults=plan, observer=events.append)
+            delays[workers] = [
+                (e["i"], e["attempt"], e["delay"])
+                for e in events if e["event"] == "retry"
+            ]
+        assert len(delays[1]) == 2
+        assert delays[1] == delays[2]
+
+    def test_busy_workers_do_not_spin_the_parent(self, monkeypatch):
+        # more due tasks than workers: the parent must block on worker
+        # replies, not poll with a zero timeout until a worker frees up
+        import multiprocessing.connection as connection
+
+        pool = ResilientPool(2, _nap)
+        calls = []
+        real_wait = connection.wait
+
+        def counting_wait(*args, **kwargs):
+            calls.append(1)
+            return real_wait(*args, **kwargs)
+
+        monkeypatch.setattr(connection, "wait", counting_wait)
+        tasks = [(i, 0.05) for i in range(8)]
+        try:
+            pool.run_tasks(tasks, on_outcome=lambda outcome: None)
+        finally:
+            monkeypatch.undo()
+            pool.shutdown()
+        assert len(calls) <= 3 * len(tasks)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process states from /proc")
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        script = tmp_path / "pool_parent.py"
+        script.write_text(POOL_PARENT_SCRIPT)
+        env = {**os.environ, "PYTHONPATH": str(Path("src").resolve())}
+        proc = subprocess.Popen([sys.executable, str(script)], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        pids = json.loads(proc.stdout.readline())
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+        try:
+            deadline = time.monotonic() + 5.0
+            while (any(_running(pid) for pid in pids)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert [pid for pid in pids if _running(pid)] == []
+        finally:
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+POOL_PARENT_SCRIPT = """
+import json, time
+from repro.harness.pool import ResilientPool
+pool = ResilientPool(2, abs)
+print(json.dumps(pool.worker_pids()), flush=True)
+time.sleep(120)
+"""
+
+
 # ----------------------------------------------------------------------
 # partial results through ResultSet / Experiment
 # ----------------------------------------------------------------------
@@ -554,8 +640,29 @@ class TestCacheQuarantine:
 
 
 # ----------------------------------------------------------------------
-# manifest + resume
+# the sweep ledger (span stream next to the memo) + resume
 # ----------------------------------------------------------------------
+def ledger_outcomes(events):
+    """The ledger's resume state: each cell's last done/failed event."""
+    return {
+        e["i"]: e["event"] for e in events
+        if e.get("event") in ("done", "failed")
+    }
+
+
+def wait_for_done_cells(cache, cells, proc):
+    """Poll the ledger of a sweep in another process until ``cells`` are done."""
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        ledgers = list(cache.glob("*.spans.jsonl"))
+        if ledgers and cells <= set(ledger_outcomes(read_spans(ledgers[0]))):
+            return
+        if proc.poll() is not None:
+            break
+        time.sleep(0.1)
+    pytest.fail("sweep never journaled its fast cells")
+
+
 class TestManifestResume:
     def test_partial_failure_then_resume_completes(self, tmp_path):
         cache = tmp_path / "memo"
@@ -568,15 +675,14 @@ class TestManifestResume:
             strict=False, faults=plan,
         )
         assert [r.ok for r in first] == [True, True, False, True]
-        (manifest_path,) = cache.glob("*.manifest.jsonl")
-        lines = [
-            json.loads(line)
-            for line in manifest_path.read_text().splitlines()
-        ]
-        assert lines[0]["scenario"] == "chaos_probe"
-        assert lines[0]["cells"] == 4
-        statuses = {e["i"]: e["status"] for e in lines[1:]}
-        assert statuses == {0: "ok", 1: "ok", 2: "failed", 3: "ok"}
+        (ledger,) = cache.glob("*.spans.jsonl")
+        events = read_spans(ledger)
+        assert events[0]["event"] == "sweep"
+        assert events[0]["scenario"] == "chaos_probe"
+        assert events[0]["cells"] == 4
+        assert ledger_outcomes(events) == {
+            0: "done", 1: "done", 2: "failed", 3: "done",
+        }
         # resume: only the failed cell re-runs, the rest replay from memo
         resumed = run_matrix(
             "chaos_probe", GRID, workers=1, cache_dir=cache, resume=True
@@ -584,31 +690,49 @@ class TestManifestResume:
         assert all(r.ok for r in resumed)
         assert [r.cached for r in resumed] == [True, True, False, True]
         assert result_bytes(resumed) == result_bytes(reference)
+        # the resumed events append to the same ledger and win the fold
+        events = read_spans(ledger)
+        assert sum(1 for e in events if e["event"] == "sweep") == 1
+        assert ledger_outcomes(events) == dict.fromkeys(range(4), "done")
+
+    def test_strict_failure_is_journaled_before_it_raises(self, tmp_path):
+        cache = tmp_path / "memo"
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="raise", match={"seed": 1}, times=None),
+        ))
+        with pytest.raises(InjectedFault):
+            run_matrix("chaos_probe", GRID, workers=1, cache_dir=cache,
+                       faults=plan)
+        (ledger,) = cache.glob("*.spans.jsonl")
+        assert ledger_outcomes(read_spans(ledger)) == {0: "done", 1: "failed"}
 
     def test_resume_after_torn_tail_keeps_the_new_entry(self, tmp_path):
-        # a hard kill tore cell 1's line; the resumed manifest must not
-        # glue cell 2's entry onto the garbage
-        path = tmp_path / "s.manifest.jsonl"
-        manifest = SweepManifest(path, "s", "abc", 4)
-        manifest.record(0, "ok")
-        manifest.close()
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write('{"i": 1, "sta')
-        resumed = SweepManifest(path, "s", "abc", 4, resume=True)
-        resumed.record(2, "ok")
-        resumed.close()
-        reloaded = SweepManifest(path, "s", "abc", 4, resume=True)
-        reloaded.close()
-        assert reloaded.statuses == {0: "ok", 2: "ok"}
+        # a hard kill tore the ledger's last line; the resumed sweep must
+        # not glue its first event onto the garbage
+        cache = tmp_path / "memo"
+        run_matrix("chaos_probe", GRID, workers=1, cache_dir=cache)
+        (ledger,) = cache.glob("*.spans.jsonl")
+        before = len(read_spans(ledger))
+        with ledger.open("a", encoding="utf-8") as fh:
+            fh.write('{"event": "done", "i": 1, "wa')
+        run_matrix("chaos_probe", GRID, workers=1, cache_dir=cache,
+                   resume=True)
+        resumed = read_spans(ledger)[before:]
+        assert [(e["event"], e["i"]) for e in resumed] == \
+            [("done", i) for i in range(4)]
+        assert all(e["cached"] for e in resumed)
 
     def test_resume_grid_mismatch_is_an_error(self, tmp_path):
         cache = tmp_path / "memo"
         run_matrix("chaos_probe", GRID, workers=1, cache_dir=cache)
+        (ledger,) = cache.glob("*.spans.jsonl")
+        journaled = ledger.read_bytes()
         with pytest.raises(ValueError, match="cannot resume"):
             run_matrix(
                 "chaos_probe", {"seed": (0, 1)}, workers=1,
                 cache_dir=cache, resume=True,
             )
+        assert ledger.read_bytes() == journaled  # refused, not appended
 
     def test_resume_without_cache_is_an_error(self):
         with pytest.raises(ValueError, match="resume"):
@@ -635,14 +759,11 @@ class TestManifestResume:
                 "chaos_probe", grid, workers=2, cache_dir=cache,
                 progress=interrupt_after_three,
             )
-        # the manifest journaled what completed before the interrupt
-        (manifest_path,) = cache.glob("*.manifest.jsonl")
-        entries = [
-            json.loads(line)
-            for line in manifest_path.read_text().splitlines()
-        ][1:]
-        assert len(entries) >= 3
-        assert all(e["status"] == "ok" for e in entries)
+        # the ledger journaled what completed before the interrupt
+        (ledger,) = cache.glob("*.spans.jsonl")
+        outcomes = ledger_outcomes(read_spans(ledger))
+        assert len(outcomes) >= 3
+        assert set(outcomes.values()) == {"done"}
         # the pool survived the interrupt (repaired, not discarded)
         resumed = run_matrix(
             "chaos_probe", grid, workers=2, cache_dir=cache, resume=True
@@ -655,7 +776,7 @@ class TestManifestResume:
 
     def test_sigterm_mid_sweep_is_resumable(self, tmp_path):
         # a real SIGTERM against a separate sweep process: the runner
-        # converts it to a clean shutdown, the manifest survives, and a
+        # converts it to a clean shutdown, the ledger survives, and a
         # --resume invocation completes only the remaining cells
         script = tmp_path / "sweep_script.py"
         script.write_text(SIGTERM_SCRIPT)
@@ -669,17 +790,7 @@ class TestManifestResume:
             text=True,
         )
         try:
-            # wait until the fast cells have been journaled
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                manifests = list(cache.glob("*.manifest.jsonl"))
-                if manifests and len(
-                    manifests[0].read_text().splitlines()
-                ) >= 3:  # header + 2 fast cells
-                    break
-                time.sleep(0.1)
-            else:
-                pytest.fail("sweep never journaled its fast cells")
+            wait_for_done_cells(cache, {0, 1}, proc)
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=60)
         finally:
@@ -687,12 +798,9 @@ class TestManifestResume:
                 proc.kill()
                 proc.communicate()
         assert "INTERRUPTED" in out, out
-        (manifest_path,) = cache.glob("*.manifest.jsonl")
-        statuses = [
-            json.loads(line)
-            for line in manifest_path.read_text().splitlines()
-        ][1:]
-        done = {e["i"] for e in statuses if e["status"] == "ok"}
+        (ledger,) = cache.glob("*.spans.jsonl")
+        outcomes = ledger_outcomes(read_spans(ledger))
+        done = {i for i, o in outcomes.items() if o == "done"}
         assert {0, 1} <= done and len(done) < 4
         # second invocation: resume completes only the remaining cells
         out2 = subprocess.run(
@@ -710,7 +818,7 @@ class TestManifestResume:
     def test_sigkill_mid_sweep_leaves_valid_manifest_and_resumes(
             self, tmp_path):
         # SIGKILL gives the runner NO chance to clean up: whatever the
-        # manifest holds is whatever was flushed+fsync'd per entry.  It
+        # ledger holds is whatever was flushed+fsync'd per event.  It
         # must still parse (torn final line at worst) and --resume must
         # complete the sweep with byte-identical values.
         script = tmp_path / "sweep_script.py"
@@ -719,23 +827,12 @@ class TestManifestResume:
         env = {**os.environ,
                "PYTHONPATH": str(Path("src").resolve()),
                "PYTHONUNBUFFERED": "1"}
-        # the first invocation's output is irrelevant and capturing it
-        # would leave orphaned workers holding the pipe open
         proc = subprocess.Popen(
             [sys.executable, str(script), str(cache), "first"],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         try:
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                manifests = list(cache.glob("*.manifest.jsonl"))
-                if manifests and len(
-                    manifests[0].read_text().splitlines()
-                ) >= 3:  # header + 2 fast cells journaled
-                    break
-                time.sleep(0.1)
-            else:
-                pytest.fail("sweep never journaled its fast cells")
+            wait_for_done_cells(cache, {0, 1}, proc)
             proc.kill()  # SIGKILL, not SIGTERM: no handler runs
             proc.communicate(timeout=60)
         finally:
@@ -743,16 +840,16 @@ class TestManifestResume:
                 proc.kill()
                 proc.communicate()
         assert proc.returncode == -signal.SIGKILL
-        # every durable manifest line parses; the completed cells are ok
-        (manifest_path,) = cache.glob("*.manifest.jsonl")
-        lines = manifest_path.read_text().splitlines()
-        entries = []
-        for line in lines[1:]:
+        # every durable ledger line parses; the completed cells are done
+        (ledger,) = cache.glob("*.spans.jsonl")
+        lines = ledger.read_text().splitlines()
+        for line in lines:
             try:
-                entries.append(json.loads(line))
+                json.loads(line)
             except json.JSONDecodeError:
                 assert line is lines[-1]  # only the final line may tear
-        done = {e["i"] for e in entries if e.get("status") == "ok"}
+        outcomes = ledger_outcomes(read_spans(ledger))
+        done = {i for i, o in outcomes.items() if o == "done"}
         assert {0, 1} <= done and len(done) < 4
         # resume completes only the remaining cells, byte-identically
         out = subprocess.run(

@@ -1,4 +1,4 @@
-"""The shared atomic-write helpers (repro.ioutil)."""
+"""The shared atomic-write and JSONL journal helpers (repro.ioutil)."""
 
 import json
 import os
@@ -6,10 +6,12 @@ import os
 import pytest
 
 from repro.ioutil import (
+    JsonlJournal,
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
     open_jsonl_append,
+    read_jsonl,
 )
 
 
@@ -87,6 +89,50 @@ class TestJsonlAppend:
         with open_jsonl_append(path) as fh:
             fh.write('{"i": 2}\n')
         assert path.read_text(encoding="utf-8") == after
+
+
+class TestJsonlJournal:
+    def test_fresh_journal_writes_header_then_entries(self, tmp_path):
+        path = tmp_path / "deep" / "j.jsonl"  # parent dir is created
+        journal = JsonlJournal(path, {"v": 1})
+        journal.append({"i": 0})
+        journal.close()
+        assert path.read_text() == '{"v": 1}\n{"i": 0}\n'
+        assert not journal.resumed and journal.entries == []
+
+    def test_fresh_open_truncates_and_resume_of_nothing_is_fresh(
+            self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text('{"old": true}\n')
+        JsonlJournal(path, {"v": 2}).close()
+        assert read_jsonl(path) == [{"v": 2}]
+        missing = JsonlJournal(tmp_path / "new.jsonl", {"v": 3}, resume=True)
+        missing.close()
+        assert not missing.resumed
+        assert read_jsonl(tmp_path / "new.jsonl") == [{"v": 3}]
+
+    def test_resume_reads_back_and_appends_after_a_torn_tail(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text('{"v": 1}\n[1, 2]\n\n{"i": 0}\n{"i": 1, "wa')
+        journal = JsonlJournal(path, {"v": 9}, resume=True)
+        assert journal.resumed
+        assert journal.header == {"v": 1}  # the file's, not the argument
+        assert journal.entries == [{"i": 0}]
+        journal.append({"i": 2})
+        journal.close()
+        assert read_jsonl(path) == [{"v": 1}, {"i": 0}, {"i": 2}]
+
+    def test_every_append_is_fsynced(self, tmp_path, monkeypatch):
+        synced = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(real(fd)))
+        journal = JsonlJournal(tmp_path / "j.jsonl", {"v": 1})
+        journal.append({"i": 0})
+        journal.append({"i": 1}, {"i": 2})
+        journal.close()
+        assert len(synced) == 3  # header + one per append, not per entry
+        assert read_jsonl(tmp_path / "j.jsonl") == \
+            [{"v": 1}, {"i": 0}, {"i": 1}, {"i": 2}]
 
 
 class TestAdoption:

@@ -7,8 +7,7 @@ zero-cost-when-disabled structural guarantees, the declared-metrics
 schema fallback for all-failed grids, the CLI surfaces (``run -v``,
 ``--progress``, ``--trace-summary``, ``--profile``, the ``metrics``
 subcommand), and the acceptance reconciliation: a chaos sweep's span
-stream agrees exactly with ``ResultSet.failures()`` and the manifest
-journal.
+stream — its ledger — agrees exactly with ``ResultSet.failures()``.
 """
 
 from __future__ import annotations
@@ -804,10 +803,11 @@ class TestCliObs:
 
 
 # ----------------------------------------------------------------------
-# acceptance: chaos sweep spans reconcile with failures and the journal
+# acceptance: chaos sweep spans reconcile with failures and the ledger
 # ----------------------------------------------------------------------
 class TestChaosSpanReconciliation:
-    def test_spans_match_resultset_and_manifest(self, tmp_path, monkeypatch):
+    def test_spans_match_resultset_and_ledger_fold(self, tmp_path,
+                                                   monkeypatch):
         # seed 0: transient fault (one retry then success);
         # seed 2: terminal failure (every attempt faulted)
         monkeypatch.setenv("REPRO_FAULTS", json.dumps([
@@ -839,22 +839,14 @@ class TestChaosSpanReconciliation:
             sum(r.attempts - 1 for r in records)
         assert {e["i"] for e in retry_spans} == {0, 2}
 
-        # --- spans vs the manifest journal -------------------------------
-        journal = [
-            json.loads(line)
-            for line in (tmp_path / "obs_probe.manifest.jsonl")
-            .read_text().splitlines()
-        ]
-        statuses = {e["i"]: e["status"] for e in journal if "i" in e}
-        span_outcomes = {e["i"]: "done" for e in spans if e["event"] == "done"}
-        span_outcomes.update(
-            {e["i"]: "failed" for e in spans if e["event"] == "failed"}
-        )
-        assert statuses == {
-            i: ("ok" if outcome == "done" else "failed")
-            for i, outcome in span_outcomes.items()
+        # --- the ledger's fold vs ResultSet.failures() -------------------
+        outcomes = {
+            e["i"]: e["event"] for e in spans
+            if e["event"] in ("done", "failed")
         }
-        assert statuses == {0: "ok", 1: "ok", 2: "failed", 3: "ok"}
+        assert outcomes == {0: "done", 1: "done", 2: "failed", 3: "done"}
+        assert {i for i, o in outcomes.items() if o == "failed"} == \
+            {records.index(r) for r in failures}
 
         # --- every fresh cell has a complete lifecycle -------------------
         done_spans = [e for e in spans if e["event"] == "done"]
